@@ -3,7 +3,9 @@
 // are the per-operation costs underneath every simulated service time.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/crc32.h"
@@ -18,12 +20,24 @@ using sedna::store::LocalStore;
 using sedna::store::LocalStoreConfig;
 using sedna::workload::KvWorkload;
 
+// Keys of the set/get benchmarks, formatted before any timed loop so the
+// figures measure the store rather than KvWorkload::key().
+constexpr std::size_t kStoreKeys = 100000;
+
+std::vector<std::string> store_keys(const KvWorkload& wl) {
+  std::vector<std::string> keys;
+  keys.reserve(kStoreKeys);
+  for (std::size_t i = 0; i < kStoreKeys; ++i) keys.push_back(wl.key(i));
+  return keys;
+}
+
 void BM_StoreSet(benchmark::State& state) {
   LocalStore store;
   KvWorkload wl;
+  const std::vector<std::string> keys = store_keys(wl);
   std::uint64_t i = 0;
   for (auto _ : state) {
-    store.set(wl.key(i % 100000), wl.value());
+    store.set(keys[i % kStoreKeys], wl.value());
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
@@ -33,12 +47,11 @@ BENCHMARK(BM_StoreSet);
 void BM_StoreGetHit(benchmark::State& state) {
   LocalStore store;
   KvWorkload wl;
-  for (std::uint64_t i = 0; i < 100000; ++i) {
-    store.set(wl.key(i), wl.value());
-  }
+  const std::vector<std::string> keys = store_keys(wl);
+  for (const std::string& key : keys) store.set(key, wl.value());
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.get(wl.key(i % 100000)));
+    benchmark::DoNotOptimize(store.get(keys[i % kStoreKeys]));
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
@@ -48,9 +61,10 @@ BENCHMARK(BM_StoreGetHit);
 void BM_StoreGetMiss(benchmark::State& state) {
   LocalStore store;
   KvWorkload wl;
+  const std::vector<std::string> keys = store_keys(wl);
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.get(wl.key(i % 100000)));
+    benchmark::DoNotOptimize(store.get(keys[i % kStoreKeys]));
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));

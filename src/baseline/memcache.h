@@ -148,7 +148,7 @@ class MemcacheClient : public sim::Host {
   void set_chain(const std::string& key, const std::string& value,
                  std::uint32_t copies, std::uint32_t idx, SetCallback cb);
   void get_chain(const std::string& key, std::uint32_t copies,
-                 std::uint32_t idx, Result<std::string> last, GetCallback cb);
+                 std::uint32_t idx, GetCallback cb);
 
   MemcacheClientConfig config_;
   KetamaRing ring_;

@@ -115,6 +115,8 @@ class SednaCluster {
   Status bootstrap_metadata();
 
   SednaClusterConfig config_;
+  /// Declared before every host and the monitor: they hold TimerHandles
+  /// into it and cancel them on destruction, so it must be destroyed last.
   sim::Simulation sim_;
   sim::Network net_;
   std::vector<std::unique_ptr<zk::ZkServer>> zk_;

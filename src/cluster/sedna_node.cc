@@ -696,10 +696,12 @@ void SednaNode::handle_replica_write(const sim::Message& msg) {
     rep.status = StatusCode::kInvalidArgument;
   } else {
     rep.status = apply_write(*req);
-    metrics_.counter("replica.writes").add(1);
+    replica_writes_->add(1);
   }
-  instant_span("replica.write", std::string(to_string(rep.status)),
-               TraceStage::kService);
+  if (tracer().enabled()) {
+    instant_span("replica.write", std::string(to_string(rep.status)),
+                 TraceStage::kService);
+  }
   reply(msg, rep.encode());
 }
 
@@ -711,12 +713,69 @@ void SednaNode::handle_replica_read(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  metrics_.counter("replica.reads").add(1);
+  replica_reads_->add(1);
   ReadReply rep = local_read(*req);
-  instant_span("replica.read", std::string(to_string(rep.status)),
-               TraceStage::kService);
+  if (tracer().enabled()) {
+    instant_span("replica.read", std::string(to_string(rep.status)),
+                 TraceStage::kService);
+  }
   reply(msg, rep.encode());
 }
+
+/// One client write in flight at its coordinator. The request, its origin
+/// message and the quorum bookkeeping live here once; every replica
+/// callback of the fan-out shares them through the state pointer.
+struct SednaNode::WriteState {
+  sim::Message origin;
+  WriteRequest req;
+  VnodeId vnode = kInvalidVnode;
+  std::uint32_t quorum = 0;
+  std::uint32_t total = 0;
+  SimTime started = 0;
+  TraceId trace = 0;
+  SpanId coord_span = 0;
+  bool causal_put = false;
+  /// Post-write clock of a causal put, handed back as the next context.
+  store::VersionVector causal_clock;
+  /// The replica timeout was cut short by the client's deadline.
+  bool deadline_bounded = false;
+  std::uint32_t acks = 0;
+  std::uint32_t outdated = 0;
+  std::uint32_t failures = 0;
+  std::uint32_t responses = 0;
+  bool replied = false;
+};
+
+/// One client read in flight at its coordinator; see WriteState.
+struct SednaNode::ReadState {
+  sim::Message origin;
+  ReadRequest req;
+  VnodeId vnode = kInvalidVnode;
+  std::uint32_t quorum = 0;
+  std::uint32_t total = 0;
+  SimTime started = 0;
+  TraceId trace = 0;
+  SpanId coord_span = 0;
+  bool deadline_bounded = false;
+  std::vector<std::pair<NodeId, ReadReply>> replies;
+  std::uint32_t responses = 0;
+  std::uint32_t failures = 0;
+  bool replied = false;
+  /// Value returned to the client (kLatest mode), for repairing
+  /// replicas whose replies arrive after the quorum settled.
+  bool has_answer = false;
+  store::VersionedValue answer;
+  /// Joined record returned to the client (causal mode), for repairing
+  /// divergent replicas — including late arrivals.
+  bool has_causal_answer = false;
+  store::CausalRecord merged;
+  /// Consistency-auditor bookkeeping: whether the final audit sample
+  /// has been emitted, whether the reply went out stale-tagged, and
+  /// when the reply was sent (for the confirmation-lag measurement).
+  bool audited = false;
+  bool served_stale = false;
+  SimTime settled_at = 0;
+};
 
 void SednaNode::handle_client_write(const sim::Message& msg) {
   auto decoded = WriteRequest::decode(msg.payload);
@@ -727,7 +786,9 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  WriteRequest req = std::move(decoded).value();
+  auto state = std::make_shared<WriteState>();
+  WriteRequest& req = state->req;
+  req = std::move(decoded).value();
   if (req.ts == 0) req.ts = next_ts();
   if (req.source == kInvalidNode) req.source = msg.from;
 
@@ -737,9 +798,8 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   // join states instead of racing on timestamps. The local apply in the
   // fan-out loop below sees the rewritten record and is an idempotent
   // no-op join that still counts as this replica's ack.
-  const bool causal_put = req.causal_tag == WriteRequest::kCausalCtx;
-  store::VersionVector causal_clock;
-  if (causal_put) {
+  state->causal_put = req.causal_tag == WriteRequest::kCausalCtx;
+  if (state->causal_put) {
     auto minted = store_->write_causal(req.key, req.ctx, req.value, req.ts,
                                        req.flags, id());
     if (!minted.ok()) {
@@ -751,67 +811,23 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     if (persistence_ != nullptr) {
       persistence_->on_write_causal(req.key, minted.value());
     }
-    causal_clock = minted.value().clock;
+    state->causal_clock = minted.value().clock;
     req.causal_tag = WriteRequest::kCausalRecord;
     req.record = std::move(minted).value();
     req.ctx = {};
   }
 
-  const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
-  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
-  const auto cfg = metadata_.config();
-  metrics_.counter("coordinator.writes").add(1);
+  state->vnode = metadata_.table().vnode_for_key(req.key);
+  const auto replicas = metadata_.table().replicas_for_vnode(state->vnode);
+  state->quorum = metadata_.config().write_quorum;
+  state->total = static_cast<std::uint32_t>(replicas.size());
+  coordinator_writes_->add(1);
   if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
-  const SimTime started = now();
-  const TraceId trace = trace_context().trace_id;
-  const SpanId coord_span = begin_span("coord.write", TraceStage::kService);
-  const TraceContext prev_ctx = enter_span(coord_span);
-
-  struct WriteState {
-    std::uint32_t acks = 0;
-    std::uint32_t outdated = 0;
-    std::uint32_t failures = 0;
-    std::uint32_t responses = 0;
-    bool replied = false;
-  };
-  auto state = std::make_shared<WriteState>();
-  const sim::Message origin = msg;
-  const auto total = static_cast<std::uint32_t>(replicas.size());
-
-  auto settle = [this, state, origin, cfg, total, started, vnode, trace,
-                 coord_span, key = req.key, causal_put, causal_clock,
-                 wts = req.ts]() {
-    if (state->replied) return;
-    WriteReply rep;
-    if (state->acks >= cfg.write_quorum) {
-      rep.status = StatusCode::kOk;
-      if (causal_put) {
-        // Hand the post-write clock back as the client's next context.
-        rep.has_ctx = true;
-        rep.ctx = causal_clock;
-      }
-      // t-visibility probe (PBS-style): sample acked LWW writes and check
-      // back on every replica at fixed offsets to measure how quickly an
-      // acknowledged write becomes readable cluster-wide. Causal puts are
-      // excluded — their convergence is vector-clock joins, not a single
-      // timestamp, so "ts >= wts" is not the right visibility predicate.
-      if (auditor_ != nullptr && !causal_put && auditor_->should_probe()) {
-        probe_visibility(key, wts, vnode, now());
-      }
-    } else if (state->responses < total) {
-      return;  // still waiting and quorum still possible
-    } else if (state->outdated > 0) {
-      rep.status = StatusCode::kOutdated;
-    } else {
-      rep.status = StatusCode::kFailure;  // recovery already triggered
-      metrics_.counter("coordinator.write_quorum_failures").add(1);
-    }
-    state->replied = true;
-    metrics_.histogram("coordinator.write_latency_us")
-        .record(now() - started, trace);
-    end_span(coord_span, std::string(to_string(rep.status)));
-    reply(origin, rep.encode());
-  };
+  state->started = now();
+  state->trace = trace_context().trace_id;
+  state->coord_span = begin_span("coord.write", TraceStage::kService);
+  const TraceContext prev_ctx = enter_span(state->coord_span);
+  state->origin = msg;
 
   // Deadline-aware fan-out: the replica RPC timeout never extends past the
   // client's remaining budget — once the deadline passes, waiting longer
@@ -820,19 +836,21 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   // must not feed the failure detector or queue hints (suspecting healthy
   // nodes and replaying hints during overload would amplify the overload).
   SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (origin.deadline != 0 && origin.deadline > now()) {
+  if (msg.deadline != 0 && msg.deadline > now()) {
     fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, origin.deadline - now());
+        std::min<SimDuration>(fanout_timeout, msg.deadline - now());
   }
-  const bool deadline_bounded =
-      origin.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
+  state->deadline_bounded =
+      msg.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
 
   const std::string payload = req.encode();
   for (NodeId replica : replicas) {
     if (replica == id()) {
       const StatusCode st = apply_write(req);
-      instant_span("coord.local_write", std::string(to_string(st)),
-                   TraceStage::kService);
+      if (tracer().enabled()) {
+        instant_span("coord.local_write", std::string(to_string(st)),
+                     TraceStage::kService);
+      }
       ++state->responses;
       if (st == StatusCode::kOk) {
         ++state->acks;
@@ -841,37 +859,69 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
       } else {
         ++state->failures;
       }
-      settle();
+      settle_write(*state);
       continue;
     }
     call_with_timeout(
         replica, kMsgReplicaWrite, payload, fanout_timeout,
-        [this, state, settle, replica, vnode, req, deadline_bounded](
-            const Status& st, const std::string& body) {
-          ++state->responses;
+        [this, state, replica](const Status& st, const std::string& body) {
+          WriteState& s = *state;
+          ++s.responses;
           if (!st.ok()) {
-            ++state->failures;
-            if (!deadline_bounded) {
+            ++s.failures;
+            if (!s.deadline_bounded) {
               // The replica missed an acknowledged-at-W write: remember it
               // and replay once the replica re-registers (hinted handoff).
-              queue_hint(replica, req);
-              suspect_node(replica, vnode);
+              queue_hint(replica, s.req);
+              suspect_node(replica, s.vnode);
             }
           } else {
             auto rep = WriteReply::decode(body);
             if (rep.ok() && rep->status == StatusCode::kOk) {
-              ++state->acks;
+              ++s.acks;
             } else if (rep.ok() && rep->status == StatusCode::kOutdated) {
-              ++state->outdated;
+              ++s.outdated;
             } else {
-              ++state->failures;
+              ++s.failures;
             }
           }
-          settle();
+          settle_write(s);
         },
-        origin.deadline);
+        msg.deadline);
   }
   set_trace_context(prev_ctx);
+}
+
+void SednaNode::settle_write(WriteState& s) {
+  if (s.replied) return;
+  WriteReply rep;
+  if (s.acks >= s.quorum) {
+    rep.status = StatusCode::kOk;
+    if (s.causal_put) {
+      // Hand the post-write clock back as the client's next context.
+      rep.has_ctx = true;
+      rep.ctx = s.causal_clock;
+    }
+    // t-visibility probe (PBS-style): sample acked LWW writes and check
+    // back on every replica at fixed offsets to measure how quickly an
+    // acknowledged write becomes readable cluster-wide. Causal puts are
+    // excluded — their convergence is vector-clock joins, not a single
+    // timestamp, so "ts >= wts" is not the right visibility predicate.
+    if (auditor_ != nullptr && !s.causal_put && auditor_->should_probe()) {
+      probe_visibility(s.req.key, s.req.ts, s.vnode, now());
+    }
+  } else if (s.responses < s.total) {
+    return;  // still waiting and quorum still possible
+  } else if (s.outdated > 0) {
+    rep.status = StatusCode::kOutdated;
+  } else {
+    rep.status = StatusCode::kFailure;  // recovery already triggered
+    metrics_.counter("coordinator.write_quorum_failures").add(1);
+  }
+  s.replied = true;
+  coordinator_write_latency_->record(now() - s.started, s.trace);
+  end_span(s.coord_span, std::string(to_string(rep.status)));
+  reply(s.origin, rep.encode());
 }
 
 void SednaNode::handle_client_read(const sim::Message& msg) {
@@ -883,311 +933,53 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  const ReadRequest req = std::move(decoded).value();
-  const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
-  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
-  const auto cfg = metadata_.config();
-  metrics_.counter("coordinator.reads").add(1);
-  if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
-  const SimTime started = now();
-  const TraceId trace = trace_context().trace_id;
-  const SpanId coord_span = begin_span("coord.read", TraceStage::kService);
-  const TraceContext prev_ctx = enter_span(coord_span);
-
-  struct ReadState {
-    std::vector<std::pair<NodeId, ReadReply>> replies;
-    std::uint32_t responses = 0;
-    std::uint32_t failures = 0;
-    bool replied = false;
-    /// Value returned to the client (kLatest mode), for repairing
-    /// replicas whose replies arrive after the quorum settled.
-    bool has_answer = false;
-    store::VersionedValue answer;
-    /// Joined record returned to the client (causal mode), for repairing
-    /// divergent replicas — including late arrivals.
-    bool has_causal_answer = false;
-    store::CausalRecord merged;
-    /// Consistency-auditor bookkeeping: whether the final audit sample
-    /// has been emitted, whether the reply went out stale-tagged, and
-    /// when the reply was sent (for the confirmation-lag measurement).
-    bool audited = false;
-    bool served_stale = false;
-    SimTime settled_at = 0;
-  };
   auto state = std::make_shared<ReadState>();
-  const sim::Message origin = msg;
-  const auto total = static_cast<std::uint32_t>(replicas.size());
-
-  auto settle = [this, state, origin, cfg, total, started, trace, coord_span,
-                 req, vnode]() {
-    if (state->replied) return;
-
-    if (req.causal) {
-      // Causal quorum read: R *positive* replies settle (the same
-      // positive-only rule as the LWW path — a fresh replica-set member
-      // legitimately lacks the key). The answer is the semilattice join
-      // of every record in hand: with R+W > N the R positives intersect
-      // every write quorum, so the join covers every acked write —
-      // concurrent writes surface as siblings instead of one silently
-      // shadowing the other.
-      std::uint32_t positives = 0;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_causal) ++positives;
-      }
-      if (positives < cfg.read_quorum && state->responses < total) return;
-      state->replied = true;
-      metrics_.histogram("coordinator.read_latency_us")
-          .record(now() - started, trace);
-      ReadReply out;
-      store::CausalRecord merged;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_causal) merged.merge(rep.causal);
-      }
-      if (!merged.empty()) {
-        out.status = StatusCode::kOk;
-        out.has_causal = true;
-        out.causal = merged;
-        if (positives < cfg.read_quorum) {
-          out.stale = true;
-          if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(vnode, now());
-          }
-        } else if (auditor_ != nullptr) {
-          auditor_->on_full_quorum(vnode, now());
-        }
-        state->has_causal_answer = true;
-        state->merged = merged;
-        // Repair replicas whose record is missing or diverged: push the
-        // join, which each replica folds in idempotently.
-        std::vector<NodeId> stale;
-        for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_causal || !(rep.causal == merged)) {
-            stale.push_back(node);
-          }
-        }
-        if (!stale.empty()) read_repair_causal(req.key, merged, stale);
-      } else if (state->failures > 0) {
-        out.status = StatusCode::kFailure;
-      } else {
-        out.status = StatusCode::kNotFound;
-      }
-      end_span(coord_span, std::string(to_string(out.status)));
-      reply(origin, out.encode());
-      return;
-    }
-
-    if (req.mode == ReadMode::kLatest) {
-      // Quorum rule (Section III.C): R replies carrying the *same
-      // timestamp* settle the read. Only *positive* replies may settle
-      // early — concluding "not found" from R misses while a replica that
-      // does hold the value has yet to answer would lose data during
-      // membership changes (a fresh replica-set member legitimately lacks
-      // the key until read repair backfills it).
-      for (const auto& [node, rep] : state->replies) {
-        if (!rep.has_latest) continue;
-        std::uint32_t agree = 0;
-        for (const auto& [other_node, other] : state->replies) {
-          if (other.has_latest && rep.latest.ts == other.latest.ts) ++agree;
-        }
-        if (agree >= cfg.read_quorum) {
-          state->replied = true;
-          state->has_answer = true;
-          state->answer = rep.latest;
-          state->settled_at = now();
-          if (auditor_ != nullptr) auditor_->on_full_quorum(vnode, now());
-          metrics_.histogram("coordinator.read_latency_us")
-              .record(now() - started, trace);
-          ReadReply out = rep;
-          out.status = StatusCode::kOk;
-          end_span(coord_span, "ok");
-          reply(origin, out.encode());
-          // Repair stragglers that have older (or no) data.
-          std::vector<NodeId> stale;
-          for (const auto& [other_node, other] : state->replies) {
-            if (!other.has_latest || other.latest.ts < rep.latest.ts) {
-              stale.push_back(other_node);
-            }
-          }
-          if (!stale.empty()) read_repair(req.key, rep.latest, stale);
-          return;
-        }
-      }
-      // Degraded mode: once enough replicas have failed (timed out, shed
-      // with kOverloaded, or sit behind a partition) that a full R-sized
-      // agreeing set is impossible, answer from the freshest positive
-      // reply in hand and *say so* via the stale tag, instead of letting
-      // the op ride out every timeout and fail. Keyspace-style trade:
-      // availability bought with labeled staleness.
-      if (config_.degraded_reads &&
-          state->failures + cfg.read_quorum > total) {
-        const ReadReply* freshest = nullptr;
-        for (const auto& [node, rep] : state->replies) {
-          if (rep.has_latest &&
-              (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
-            freshest = &rep;
-          }
-        }
-        if (freshest != nullptr) {
-          state->replied = true;
-          state->has_answer = true;
-          state->answer = freshest->latest;
-          state->served_stale = true;
-          state->settled_at = now();
-          metrics_.counter("coordinator.degraded_reads").add(1);
-          metrics_.histogram("coordinator.read_latency_us")
-              .record(now() - started, trace);
-          ReadReply out = *freshest;
-          out.status = StatusCode::kOk;
-          out.stale = true;
-          // Bounded staleness: the served value is no older than the time
-          // since this vnode last confirmed a full read quorum, so hand
-          // the client that bound alongside the stale tag.
-          if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(vnode, now());
-          }
-          end_span(coord_span, "ok");
-          reply(origin, out.encode());
-          return;
-        }
-      }
-      if (state->responses < total) return;  // keep waiting
-      // All replicas answered without an R-sized agreeing set: return the
-      // freshest value (eventual consistency) and repair the rest.
-      const ReadReply* freshest = nullptr;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_latest &&
-            (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
-          freshest = &rep;
-        }
-      }
-      state->replied = true;
-      metrics_.histogram("coordinator.read_latency_us")
-          .record(now() - started, trace);
-      ReadReply out;
-      if (freshest != nullptr) {
-        out = *freshest;
-        out.status = StatusCode::kOk;
-        // Below-quorum agreement: the answer is the freshest available
-        // but unconfirmed — label it rather than pass it off as a quorum
-        // read.
-        out.stale = true;
-        state->has_answer = true;
-        state->answer = freshest->latest;
-        state->served_stale = true;
-        state->settled_at = now();
-        if (auditor_ != nullptr) {
-          out.staleness_us = auditor_->on_stale_serve(vnode, now());
-        }
-        std::vector<NodeId> stale;
-        for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_latest || rep.latest.ts < out.latest.ts) {
-            stale.push_back(node);
-          }
-        }
-        if (!stale.empty()) read_repair(req.key, out.latest, stale);
-      } else if (state->failures > 0) {
-        out.status = StatusCode::kFailure;
-      } else {
-        out.status = StatusCode::kNotFound;
-      }
-      end_span(coord_span, std::string(to_string(out.status)));
-      reply(origin, out.encode());
-      return;
-    }
-
-    // read_all: wait for R successful replies, then merge the value lists
-    // (newest timestamp wins per source).
-    std::uint32_t successes = 0;
-    for (const auto& [node, rep] : state->replies) {
-      if (rep.status == StatusCode::kOk || !rep.value_list.empty()) {
-        ++successes;
-      }
-    }
-    const bool exhausted = state->responses >= total;
-    if (successes < cfg.read_quorum && !exhausted) return;
-    state->replied = true;
-    metrics_.histogram("coordinator.read_latency_us")
-        .record(now() - started, trace);
-    ReadReply out;
-    std::map<NodeId, store::SourceValue> merged;
-    for (const auto& [node, rep] : state->replies) {
-      for (const auto& sv : rep.value_list) {
-        auto [it, inserted] = merged.try_emplace(sv.source, sv);
-        if (!inserted && sv.ts > it->second.ts) it->second = sv;
-      }
-    }
-    for (auto& [source, sv] : merged) out.value_list.push_back(sv);
-    if (out.value_list.empty()) {
-      out.status = state->failures > 0 && successes == 0
-                       ? StatusCode::kFailure
-                       : StatusCode::kNotFound;
-    }
-    end_span(coord_span, std::string(to_string(out.status)));
-    reply(origin, out.encode());
-  };
-
-  // Staleness sample: once every replica has answered (call_with_timeout
-  // always fires, so responses always reaches total), compare the value
-  // the client was served against the freshest timestamp any replica
-  // reported. The gap — versions behind, and wall-clock µs behind — is a
-  // *measured* staleness observation, not a bound.
-  auto audit_finalize = [this, state, total, vnode,
-                         causal = req.causal, mode = req.mode]() {
-    if (auditor_ == nullptr || state->audited || state->responses < total ||
-        causal || mode != ReadMode::kLatest || !state->has_answer) {
-      return;
-    }
-    state->audited = true;
-    ReadAuditSample s;
-    s.vnode = vnode;
-    s.served_ts = state->answer.ts;
-    s.stale = state->served_stale;
-    s.confirm_lag_us =
-        now() > state->settled_at ? now() - state->settled_at : 0;
-    for (const auto& [node, rep] : state->replies) {
-      if (!rep.has_latest) continue;
-      ++s.positives;
-      if (s.positives == 1) {
-        s.freshest_ts = s.oldest_ts = rep.latest.ts;
-      } else {
-        s.freshest_ts = std::max(s.freshest_ts, rep.latest.ts);
-        s.oldest_ts = std::min(s.oldest_ts, rep.latest.ts);
-      }
-      if (rep.latest.ts > state->answer.ts) ++s.newer;
-    }
-    auditor_->on_read_final(s);
-  };
+  state->req = std::move(decoded).value();
+  const ReadRequest& req = state->req;
+  state->vnode = metadata_.table().vnode_for_key(req.key);
+  const auto replicas = metadata_.table().replicas_for_vnode(state->vnode);
+  state->quorum = metadata_.config().read_quorum;
+  state->total = static_cast<std::uint32_t>(replicas.size());
+  coordinator_reads_->add(1);
+  if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
+  state->started = now();
+  state->trace = trace_context().trace_id;
+  state->coord_span = begin_span("coord.read", TraceStage::kService);
+  const TraceContext prev_ctx = enter_span(state->coord_span);
+  state->origin = msg;
 
   // Deadline-aware fan-out; see handle_client_write. Deadline-shortened
   // timeouts are abandonment, not failure evidence.
   SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (origin.deadline != 0 && origin.deadline > now()) {
+  if (msg.deadline != 0 && msg.deadline > now()) {
     fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, origin.deadline - now());
+        std::min<SimDuration>(fanout_timeout, msg.deadline - now());
   }
-  const bool deadline_bounded =
-      origin.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
+  state->deadline_bounded =
+      msg.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
 
   const std::string payload = req.encode();
   for (NodeId replica : replicas) {
     if (replica == id()) {
       ReadReply rep = local_read(req);
-      instant_span("coord.local_read", std::string(to_string(rep.status)),
-                   TraceStage::kService);
+      if (tracer().enabled()) {
+        instant_span("coord.local_read", std::string(to_string(rep.status)),
+                     TraceStage::kService);
+      }
       state->replies.emplace_back(id(), std::move(rep));
       ++state->responses;
-      settle();
-      audit_finalize();
+      settle_read(*state);
+      audit_read(*state);
       continue;
     }
     call_with_timeout(
         replica, kMsgReplicaRead, payload, fanout_timeout,
-        [this, state, settle, audit_finalize, replica, vnode, key = req.key,
-         deadline_bounded](const Status& st, const std::string& body) {
-          ++state->responses;
+        [this, state, replica](const Status& st, const std::string& body) {
+          ReadState& s = *state;
+          ++s.responses;
           if (!st.ok()) {
-            ++state->failures;
-            if (!deadline_bounded) suspect_node(replica, vnode);
+            ++s.failures;
+            if (!s.deadline_bounded) suspect_node(replica, s.vnode);
           } else {
             auto rep = ReadReply::decode(body);
             if (rep.ok() && rep->status == StatusCode::kOverloaded) {
@@ -1195,32 +987,261 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
               // failed for quorum purposes, but do not suspect it and do
               // not read-repair it (pushing writes at a node that just
               // shed a read would deepen the overload).
-              ++state->failures;
+              ++s.failures;
             } else if (rep.ok()) {
               // Replies arriving after the quorum already settled still
               // feed read repair: a replica that is behind (or brand
               // new, after a membership change) gets the answer pushed.
-              if (state->replied && state->has_answer &&
-                  (!rep->has_latest ||
-                   rep->latest.ts < state->answer.ts)) {
-                read_repair(key, state->answer, {replica});
+              if (s.replied && s.has_answer &&
+                  (!rep->has_latest || rep->latest.ts < s.answer.ts)) {
+                read_repair(s.req.key, s.answer, {replica});
               }
-              if (state->replied && state->has_causal_answer &&
-                  (!rep->has_causal ||
-                   !(rep->causal == state->merged))) {
-                read_repair_causal(key, state->merged, {replica});
+              if (s.replied && s.has_causal_answer &&
+                  (!rep->has_causal || !(rep->causal == s.merged))) {
+                read_repair_causal(s.req.key, s.merged, {replica});
               }
-              state->replies.emplace_back(replica, std::move(rep).value());
+              s.replies.emplace_back(replica, std::move(rep).value());
             } else {
-              ++state->failures;
+              ++s.failures;
             }
           }
-          settle();
-          audit_finalize();
+          settle_read(s);
+          audit_read(s);
         },
-        origin.deadline);
+        msg.deadline);
   }
   set_trace_context(prev_ctx);
+}
+
+void SednaNode::settle_read(ReadState& s) {
+  if (s.replied) return;
+  const ReadRequest& req = s.req;
+
+  if (req.causal) {
+    // Causal quorum read: R *positive* replies settle (the same
+    // positive-only rule as the LWW path — a fresh replica-set member
+    // legitimately lacks the key). The answer is the semilattice join
+    // of every record in hand: with R+W > N the R positives intersect
+    // every write quorum, so the join covers every acked write —
+    // concurrent writes surface as siblings instead of one silently
+    // shadowing the other.
+    std::uint32_t positives = 0;
+    for (const auto& [node, rep] : s.replies) {
+      if (rep.has_causal) ++positives;
+    }
+    if (positives < s.quorum && s.responses < s.total) return;
+    s.replied = true;
+    coordinator_read_latency_->record(now() - s.started, s.trace);
+    ReadReply out;
+    store::CausalRecord merged;
+    for (const auto& [node, rep] : s.replies) {
+      if (rep.has_causal) merged.merge(rep.causal);
+    }
+    if (!merged.empty()) {
+      out.status = StatusCode::kOk;
+      out.has_causal = true;
+      out.causal = merged;
+      if (positives < s.quorum) {
+        out.stale = true;
+        if (auditor_ != nullptr) {
+          out.staleness_us = auditor_->on_stale_serve(s.vnode, now());
+        }
+      } else if (auditor_ != nullptr) {
+        auditor_->on_full_quorum(s.vnode, now());
+      }
+      s.has_causal_answer = true;
+      s.merged = merged;
+      // Repair replicas whose record is missing or diverged: push the
+      // join, which each replica folds in idempotently.
+      std::vector<NodeId> stale;
+      for (const auto& [node, rep] : s.replies) {
+        if (!rep.has_causal || !(rep.causal == merged)) {
+          stale.push_back(node);
+        }
+      }
+      if (!stale.empty()) read_repair_causal(req.key, merged, stale);
+    } else if (s.failures > 0) {
+      out.status = StatusCode::kFailure;
+    } else {
+      out.status = StatusCode::kNotFound;
+    }
+    end_span(s.coord_span, std::string(to_string(out.status)));
+    reply(s.origin, out.encode());
+    return;
+  }
+
+  if (req.mode == ReadMode::kLatest) {
+    // Quorum rule (Section III.C): R replies carrying the *same
+    // timestamp* settle the read. Only *positive* replies may settle
+    // early — concluding "not found" from R misses while a replica that
+    // does hold the value has yet to answer would lose data during
+    // membership changes (a fresh replica-set member legitimately lacks
+    // the key until read repair backfills it).
+    for (const auto& [node, rep] : s.replies) {
+      if (!rep.has_latest) continue;
+      std::uint32_t agree = 0;
+      for (const auto& [other_node, other] : s.replies) {
+        if (other.has_latest && rep.latest.ts == other.latest.ts) ++agree;
+      }
+      if (agree >= s.quorum) {
+        s.replied = true;
+        s.has_answer = true;
+        s.answer = rep.latest;
+        s.settled_at = now();
+        if (auditor_ != nullptr) auditor_->on_full_quorum(s.vnode, now());
+        coordinator_read_latency_->record(now() - s.started, s.trace);
+        ReadReply out = rep;
+        out.status = StatusCode::kOk;
+        end_span(s.coord_span, "ok");
+        reply(s.origin, out.encode());
+        // Repair stragglers that have older (or no) data.
+        std::vector<NodeId> stale;
+        for (const auto& [other_node, other] : s.replies) {
+          if (!other.has_latest || other.latest.ts < rep.latest.ts) {
+            stale.push_back(other_node);
+          }
+        }
+        if (!stale.empty()) read_repair(req.key, rep.latest, stale);
+        return;
+      }
+    }
+    // Degraded mode: once enough replicas have failed (timed out, shed
+    // with kOverloaded, or sit behind a partition) that a full R-sized
+    // agreeing set is impossible, answer from the freshest positive
+    // reply in hand and *say so* via the stale tag, instead of letting
+    // the op ride out every timeout and fail. Keyspace-style trade:
+    // availability bought with labeled staleness.
+    if (config_.degraded_reads && s.failures + s.quorum > s.total) {
+      const ReadReply* freshest = nullptr;
+      for (const auto& [node, rep] : s.replies) {
+        if (rep.has_latest &&
+            (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
+          freshest = &rep;
+        }
+      }
+      if (freshest != nullptr) {
+        s.replied = true;
+        s.has_answer = true;
+        s.answer = freshest->latest;
+        s.served_stale = true;
+        s.settled_at = now();
+        metrics_.counter("coordinator.degraded_reads").add(1);
+        coordinator_read_latency_->record(now() - s.started, s.trace);
+        ReadReply out = *freshest;
+        out.status = StatusCode::kOk;
+        out.stale = true;
+        // Bounded staleness: the served value is no older than the time
+        // since this vnode last confirmed a full read quorum, so hand
+        // the client that bound alongside the stale tag.
+        if (auditor_ != nullptr) {
+          out.staleness_us = auditor_->on_stale_serve(s.vnode, now());
+        }
+        end_span(s.coord_span, "ok");
+        reply(s.origin, out.encode());
+        return;
+      }
+    }
+    if (s.responses < s.total) return;  // keep waiting
+    // All replicas answered without an R-sized agreeing set: return the
+    // freshest value (eventual consistency) and repair the rest.
+    const ReadReply* freshest = nullptr;
+    for (const auto& [node, rep] : s.replies) {
+      if (rep.has_latest &&
+          (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
+        freshest = &rep;
+      }
+    }
+    s.replied = true;
+    coordinator_read_latency_->record(now() - s.started, s.trace);
+    ReadReply out;
+    if (freshest != nullptr) {
+      out = *freshest;
+      out.status = StatusCode::kOk;
+      // Below-quorum agreement: the answer is the freshest available
+      // but unconfirmed — label it rather than pass it off as a quorum
+      // read.
+      out.stale = true;
+      s.has_answer = true;
+      s.answer = freshest->latest;
+      s.served_stale = true;
+      s.settled_at = now();
+      if (auditor_ != nullptr) {
+        out.staleness_us = auditor_->on_stale_serve(s.vnode, now());
+      }
+      std::vector<NodeId> stale;
+      for (const auto& [node, rep] : s.replies) {
+        if (!rep.has_latest || rep.latest.ts < out.latest.ts) {
+          stale.push_back(node);
+        }
+      }
+      if (!stale.empty()) read_repair(req.key, out.latest, stale);
+    } else if (s.failures > 0) {
+      out.status = StatusCode::kFailure;
+    } else {
+      out.status = StatusCode::kNotFound;
+    }
+    end_span(s.coord_span, std::string(to_string(out.status)));
+    reply(s.origin, out.encode());
+    return;
+  }
+
+  // read_all: wait for R successful replies, then merge the value lists
+  // (newest timestamp wins per source).
+  std::uint32_t successes = 0;
+  for (const auto& [node, rep] : s.replies) {
+    if (rep.status == StatusCode::kOk || !rep.value_list.empty()) {
+      ++successes;
+    }
+  }
+  const bool exhausted = s.responses >= s.total;
+  if (successes < s.quorum && !exhausted) return;
+  s.replied = true;
+  coordinator_read_latency_->record(now() - s.started, s.trace);
+  ReadReply out;
+  std::map<NodeId, store::SourceValue> merged;
+  for (const auto& [node, rep] : s.replies) {
+    for (const auto& sv : rep.value_list) {
+      auto [it, inserted] = merged.try_emplace(sv.source, sv);
+      if (!inserted && sv.ts > it->second.ts) it->second = sv;
+    }
+  }
+  for (auto& [source, sv] : merged) out.value_list.push_back(sv);
+  if (out.value_list.empty()) {
+    out.status = s.failures > 0 && successes == 0 ? StatusCode::kFailure
+                                                  : StatusCode::kNotFound;
+  }
+  end_span(s.coord_span, std::string(to_string(out.status)));
+  reply(s.origin, out.encode());
+}
+
+void SednaNode::audit_read(ReadState& s) {
+  // Staleness sample: once every replica has answered (call_with_timeout
+  // always fires, so responses always reaches total), compare the value
+  // the client was served against the freshest timestamp any replica
+  // reported. The gap — versions behind, and wall-clock µs behind — is a
+  // *measured* staleness observation, not a bound.
+  if (auditor_ == nullptr || s.audited || s.responses < s.total ||
+      s.req.causal || s.req.mode != ReadMode::kLatest || !s.has_answer) {
+    return;
+  }
+  s.audited = true;
+  ReadAuditSample sample;
+  sample.vnode = s.vnode;
+  sample.served_ts = s.answer.ts;
+  sample.stale = s.served_stale;
+  sample.confirm_lag_us = now() > s.settled_at ? now() - s.settled_at : 0;
+  for (const auto& [node, rep] : s.replies) {
+    if (!rep.has_latest) continue;
+    ++sample.positives;
+    if (sample.positives == 1) {
+      sample.freshest_ts = sample.oldest_ts = rep.latest.ts;
+    } else {
+      sample.freshest_ts = std::max(sample.freshest_ts, rep.latest.ts);
+      sample.oldest_ts = std::min(sample.oldest_ts, rep.latest.ts);
+    }
+    if (rep.latest.ts > s.answer.ts) ++sample.newer;
+  }
+  auditor_->on_read_final(sample);
 }
 
 void SednaNode::read_repair(const std::string& key,
@@ -1897,8 +1918,10 @@ void SednaNode::handle_hint_deliver(const sim::Message& msg) {
     rep.status = apply_write(req->write);
     metrics_.counter("replica.hints_received").add(1);
   }
-  instant_span("replica.hint_apply", std::string(to_string(rep.status)),
-               TraceStage::kHintReplay);
+  if (tracer().enabled()) {
+    instant_span("replica.hint_apply", std::string(to_string(rep.status)),
+                 TraceStage::kHintReplay);
+  }
   reply(msg, rep.encode());
 }
 

@@ -235,8 +235,17 @@ class SednaNode : public sim::Host {
 
  private:
   // Coordinator paths.
+  struct WriteState;
+  struct ReadState;
   void handle_client_write(const sim::Message& msg);
   void handle_client_read(const sim::Message& msg);
+  /// Answers the client once the write quorum is met or impossible.
+  void settle_write(WriteState& s);
+  /// Answers the client once the read can settle (quorum, degraded or
+  /// exhausted), and starts read repair.
+  void settle_read(ReadState& s);
+  /// Emits the auditor's staleness sample once every replica answered.
+  void audit_read(ReadState& s);
   // Replica paths.
   void handle_replica_write(const sim::Message& msg);
   void handle_replica_read(const sim::Message& msg);
@@ -375,6 +384,15 @@ class SednaNode : public sim::Host {
   zk::ZkClient zk_;
   MetadataCache metadata_;
   MetricRegistry metrics_;
+  // Per-request metrics, resolved once.
+  CounterHandle replica_writes_{metrics_, "replica.writes"};
+  CounterHandle replica_reads_{metrics_, "replica.reads"};
+  CounterHandle coordinator_writes_{metrics_, "coordinator.writes"};
+  CounterHandle coordinator_reads_{metrics_, "coordinator.reads"};
+  HistogramHandle coordinator_write_latency_{metrics_,
+                                             "coordinator.write_latency_us"};
+  HistogramHandle coordinator_read_latency_{metrics_,
+                                            "coordinator.read_latency_us"};
   bool ready_ = false;
   /// Set by on_crash: the next start() must hydrate the empty store from
   /// peer replicas before reporting ready (see restart_hydration).

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sedna {
@@ -151,6 +152,35 @@ class MetricRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
 };
+
+/// One registry metric for a hot path: the name is looked up on first use
+/// only, and a metric that is never touched still never appears in the
+/// registry or its dumps. std::map nodes never move, so the cached pointer
+/// stays valid until the registry is destroyed or reset().
+template <typename Metric>
+class MetricHandle {
+ public:
+  MetricHandle(MetricRegistry& registry, const char* name)
+      : registry_(registry), name_(name) {}
+
+  Metric* operator->() {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<Metric, Counter>) {
+        metric_ = &registry_.counter(name_);
+      } else {
+        metric_ = &registry_.histogram(name_);
+      }
+    }
+    return metric_;
+  }
+
+ private:
+  MetricRegistry& registry_;
+  const char* name_;
+  Metric* metric_ = nullptr;
+};
+using CounterHandle = MetricHandle<Counter>;
+using HistogramHandle = MetricHandle<Histogram>;
 
 /// Cluster-wide metrics registry: names each per-node MetricRegistry with
 /// a stable label ("node-100", "client-1000", ...) and renders

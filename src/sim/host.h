@@ -37,8 +37,10 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -86,10 +88,11 @@ class Host {
     net_.attach(id_, this);
   }
   virtual ~Host() {
-    // Invalidate every event lambda that still points at this host (CPU
-    // dispatches, RPC timeouts): hosts may die while the simulation runs
-    // on (e.g. a short-lived bootstrap client).
-    *live_ = false;
+    // Cancel every event that still points at this host (the in-flight
+    // service completion, RPC timeouts): hosts may die while the
+    // simulation runs on (e.g. a short-lived bootstrap client).
+    service_timer_.cancel();
+    for (TimerHandle& orphan : orphaned_services_) orphan.cancel();
     for (auto& [rpc_id, pending] : pending_) pending.timeout.cancel();
     net_.detach(id_);
   }
@@ -119,7 +122,14 @@ class Host {
     for (auto& q : queues_) q.clear();
     queued_ = 0;
     cpu_busy_ = false;
-    ++cpu_epoch_;  // orphan any in-flight service completion event
+    // The message in service dies with the CPU. Its completion event is
+    // left queued to fire as a no-op rather than cancelled (a cancelled
+    // event does not count as executed), so the executed-event count is
+    // the same whether or not the crash cut a service short.
+    ++cpu_epoch_;
+    std::erase_if(orphaned_services_,
+                  [](const TimerHandle& t) { return !t.active(); });
+    if (service_timer_.active()) orphaned_services_.push_back(service_timer_);
     trace_ctx_ = {};
     on_crash();
   }
@@ -131,7 +141,7 @@ class Host {
 
   /// Entry point used by Network: admit (or shed) the message, then queue
   /// it behind the CPU in its priority class.
-  void deliver(const Message& msg) {
+  void deliver(Message msg) {
     if (!alive_) return;
     const std::size_t prio = clamp_priority(message_priority(msg));
     if (!msg.is_response && config_.max_ingress_queue > 0) {
@@ -146,11 +156,9 @@ class Host {
     // Service cost is drawn at arrival (not at dequeue) so the shared RNG
     // stream is consumed in network-delivery order — the same order the
     // pre-queue timeline model used.
-    QueuedMessage item;
-    item.msg = msg;
-    item.arrival = sim().now();
-    item.cost = service_cost(msg);
-    queues_[prio].push_back(std::move(item));
+    const SimDuration cost = service_cost(msg);
+    queues_[prio].push_back(
+        QueuedMessage{std::move(msg), sim().now(), cost});
     ++queued_;
     if (!cpu_busy_) start_next();
   }
@@ -169,10 +177,14 @@ class Host {
                          SimTime deadline = 0) {
     const std::uint64_t rpc_id = next_rpc_id_++;
     const TraceContext caller_ctx = trace_ctx_;
-    const SpanId rpc_span = tracer().begin(caller_ctx, rpc_span_name(type),
-                                           id_, now(), rpc_span_stage(type));
-    auto timer = sim().schedule(timeout, [this, live = live_, rpc_id]() {
-      if (!*live) return;
+    // Span names are built only while tracing: most exceed the small-string
+    // buffer, and an RPC is issued for every replica of every request.
+    const SpanId rpc_span =
+        tracer().enabled()
+            ? tracer().begin(caller_ctx, rpc_span_name(type), id_, now(),
+                             rpc_span_stage(type))
+            : 0;
+    auto timer = sim().schedule(timeout, [this, rpc_id]() {
       auto it = pending_.find(rpc_id);
       if (it == pending_.end()) return;
       Pending pending = std::move(it->second);
@@ -226,16 +238,22 @@ class Host {
   [[nodiscard]] TraceContext trace_context() const { return trace_ctx_; }
   void set_trace_context(TraceContext ctx) { trace_ctx_ = ctx; }
 
-  /// Opens a fresh trace rooted at this host and makes it current.
-  TraceContext begin_trace(const std::string& name,
+  /// Opens a fresh trace rooted at this host and makes it current. The
+  /// name is copied into a string only while tracing is on (as in
+  /// begin_span): every client op opens a trace.
+  TraceContext begin_trace(std::string_view name,
                            TraceStage stage = TraceStage::kUnknown) {
-    trace_ctx_ = tracer().start_trace(name, id_, now(), stage);
+    trace_ctx_ = tracer().enabled() ? tracer().start_trace(std::string(name),
+                                                           id_, now(), stage)
+                                    : TraceContext{};
     return trace_ctx_;
   }
   /// Child span of the current context. Does not change the context.
-  SpanId begin_span(const std::string& name,
+  SpanId begin_span(std::string_view name,
                     TraceStage stage = TraceStage::kUnknown) {
-    return tracer().begin(trace_ctx_, name, id_, now(), stage);
+    return tracer().enabled() ? tracer().begin(trace_ctx_, std::string(name),
+                                               id_, now(), stage)
+                              : 0;
   }
   /// Makes `span` the current context; returns the previous context so
   /// the caller can restore it after issuing nested work.
@@ -348,22 +366,26 @@ class Host {
         continue;
       }
       cpu_busy_ = true;
-      const SimTime start = now();
-      sim().schedule(
-          item.cost,
-          [this, live = live_, epoch = cpu_epoch_, item = std::move(item),
-           start]() mutable {
-            if (!*live || epoch != cpu_epoch_) return;
-            cpu_busy_ = false;
-            if (alive_) dispatch(item.msg, item.arrival, start, item.cost);
-            if (alive_ && !cpu_busy_) start_next();
+      in_service_ = std::move(item);
+      service_start_ = now();
+      service_timer_ = sim().schedule(
+          in_service_.cost, [this, epoch = cpu_epoch_] {
+            if (epoch == cpu_epoch_) finish_service();
           });
       return;
     }
     cpu_busy_ = false;
   }
 
-  void dispatch(const Message& msg, SimTime arrival, SimTime start,
+  void finish_service() {
+    cpu_busy_ = false;
+    // Moved out first: the handler may refill the CPU (start_next).
+    QueuedMessage item = std::move(in_service_);
+    dispatch(std::move(item.msg), item.arrival, service_start_, item.cost);
+    if (alive_ && !cpu_busy_) start_next();
+  }
+
+  void dispatch(Message msg, SimTime arrival, SimTime start,
                 SimDuration cost) {
     if (msg.is_response) {
       auto it = pending_.find(msg.rpc_id);
@@ -407,17 +429,23 @@ class Host {
   Network& net_;
   NodeId id_;
   HostConfig config_;
-  /// Shared liveness token: lambdas queued in the simulation check it so
-  /// a destroyed host is never dereferenced.
-  std::shared_ptr<bool> live_ = std::make_shared<bool>(true);
   bool alive_ = true;
   /// Real ingress queues, one per priority class, drained by one core.
   std::array<std::deque<QueuedMessage>, kHostPriorities> queues_;
   std::size_t queued_ = 0;
   bool cpu_busy_ = false;
+  /// The message on the CPU; its completion event carries only `this`
+  /// and the epoch it was started in.
+  QueuedMessage in_service_;
+  SimTime service_start_ = 0;
   /// Bumped on crash so an in-flight service-completion event from the
   /// previous incarnation cannot touch the restarted host.
   std::uint64_t cpu_epoch_ = 0;
+  /// Completion of the message in service, cancelled on destruction.
+  TimerHandle service_timer_;
+  /// Completions voided by crash() that may not have fired yet; they
+  /// still point at this host, so destruction cancels them too.
+  std::vector<TimerHandle> orphaned_services_;
   std::uint64_t shed_queue_full_ = 0;
   std::uint64_t shed_deadline_ = 0;
   std::uint64_t next_rpc_id_ = 1;

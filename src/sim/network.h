@@ -93,6 +93,9 @@ class Network {
 
   [[nodiscard]] SimDuration delivery_delay(const Message& msg);
 
+  /// Delivery event of the message parked in in_flight_[slot].
+  void arrive(std::uint32_t slot);
+
   Simulation& sim_;
   NetworkConfig config_;
   std::unordered_map<NodeId, Host*> hosts_;
@@ -102,6 +105,10 @@ class Network {
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t bytes_ = 0;
+  /// Messages on the wire, parked here so a delivery event carries only
+  /// a slot index; freed slots are reused.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   MetricRegistry metrics_;
 };
 

@@ -36,7 +36,9 @@ TEST(LossyNetwork, OperationsSucceedViaRetries) {
   for (int i = 0; i < 100; ++i) {
     auto got = cluster.read_latest(client, "lossy-" + std::to_string(i));
     // Anything acknowledged must be readable.
-    if (got.ok()) EXPECT_EQ(got->value, "v");
+    if (got.ok()) {
+      EXPECT_EQ(got->value, "v");
+    }
   }
 }
 

@@ -1,9 +1,11 @@
 // Tests for the discrete-event substrate: event ordering, timers,
 // network delivery model, failure injection, host CPU serialization and
-#include <map>
-#include <optional>
 // the RPC layer.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <optional>
 
 #include "sim/host.h"
 #include "sim/network.h"
@@ -54,6 +56,62 @@ TEST(Simulation, PeriodicFiresRepeatedlyUntilCancelled) {
   handle.cancel();
   sim.run_until(1000);
   EXPECT_EQ(fires, 4);
+}
+
+TEST(Simulation, OneShotHandleIsInactiveOnceFired) {
+  Simulation sim;
+  auto handle = sim.schedule(10, [] {});
+  EXPECT_TRUE(handle.active());
+  sim.run();
+  EXPECT_FALSE(handle.active());
+  EXPECT_FALSE(TimerHandle{}.active());
+}
+
+TEST(Simulation, StaleHandleLeavesReusedSlotAlone) {
+  Simulation sim;
+  auto first = sim.schedule(10, [] {});
+  sim.run();
+  bool ran = false;
+  auto second = sim.schedule(10, [&] { ran = true; });  // reuses the slot
+  first.cancel();
+  EXPECT_TRUE(second.active());
+  sim.run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Simulation, PeriodicCancelledInOwnCallbackFiresNoMore) {
+  Simulation sim;
+  int fires = 0;
+  TimerHandle handle;
+  handle = sim.schedule_periodic(100, [&] {
+    if (++fires == 2) handle.cancel();
+  });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(fires, 2);
+  EXPECT_FALSE(handle.active());
+  // The firing queued after the cancel still pops (lazily) at t=300.
+  EXPECT_EQ(sim.now(), 300u);
+}
+
+TEST(Simulation, PendingEventsCountsCancelledUntilPopped) {
+  Simulation sim;
+  sim.schedule(10, [] {});
+  auto doomed = sim.schedule(20, [] {});
+  doomed.cancel();
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run_until(15);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(25);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulation, RunLeavesClockAtLastPoppedEventEvenIfCancelled) {
+  Simulation sim;
+  sim.schedule(10, [] {});
+  auto doomed = sim.schedule(50, [] {});
+  doomed.cancel();
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), 50u);
 }
 
 TEST(Simulation, RunUntilAdvancesClockEvenWhenIdle) {
@@ -366,6 +424,65 @@ TEST(Rpc, CrashClearsPendingCallbacks) {
   client.crash();
   sim.run();
   EXPECT_FALSE(fired);  // the whole host died; no stray callback
+}
+
+/// Service-time fixture: 120 us network, 100 us CPU, both exact, so a
+/// message sent at t=0 is in service on the receiver from ~120 to ~220.
+struct InServiceFixture {
+  static NetworkConfig quiet_net() {
+    NetworkConfig cfg;
+    cfg.jitter_frac = 0.0;
+    return cfg;
+  }
+  static HostConfig slow_cpu() {
+    HostConfig cfg;
+    cfg.base_service_us = 100;
+    cfg.service_jitter_frac = 0.0;
+    return cfg;
+  }
+  Simulation sim;
+  Network net{sim, quiet_net()};
+};
+
+TEST(Host, CrashWithServiceInFlightNeverDispatchesIt) {
+  InServiceFixture f;
+  SinkHost a(f.net, 1);
+  SinkHost b(f.net, 2, InServiceFixture::slow_cpu());
+  a.send_oneway(2, 900, "doomed");
+  f.sim.run_until(150);  // delivered, still in service
+  b.crash();
+  b.restart();
+  // The orphaned completion still pops as an executed no-op event, so the
+  // executed-event count does not depend on when the crash struck.
+  EXPECT_EQ(f.sim.run(), 1u);
+  EXPECT_TRUE(b.received.empty());
+  a.send_oneway(2, 901, "after");  // the restarted CPU serves new work
+  f.sim.run();
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].type, 901u);
+}
+
+TEST(Host, DestroyedWithServiceInFlightNeverDispatchesIt) {
+  // Destroyed while serving; and destroyed after a crash voided that
+  // service and a restart put new work on the CPU behind it, so two
+  // completions that point at the host are queued.
+  for (const bool crash_first : {false, true}) {
+    InServiceFixture f;
+    SinkHost a(f.net, 1);
+    auto b =
+        std::make_unique<SinkHost>(f.net, 2, InServiceFixture::slow_cpu());
+    a.send_oneway(2, 900, "doomed");
+    f.sim.run_until(150);  // delivered, still in service until ~220
+    if (crash_first) {
+      b->crash();
+      b->restart();
+      b->send_oneway(2, 901, "self");  // loopback: in service from ~151
+      f.sim.run_until(160);
+    }
+    b.reset();
+    f.sim.run();  // must not touch the destroyed host
+    EXPECT_EQ(f.sim.pending_events(), 0u);
+  }
 }
 
 TEST(Rpc, DestroyedHostNeverTouchedBySim) {

@@ -286,7 +286,7 @@ TEST(Eviction, RecentlyUsedSurvive) {
   store.set("hot", "v");
   for (int i = 0; i < 4000; ++i) {
     store.set("cold-" + std::to_string(i), std::string(64, 'v'));
-    store.get("hot");  // keep it at the LRU head
+    ASSERT_TRUE(store.get("hot").ok());  // keep it at the LRU head
   }
   EXPECT_TRUE(store.get("hot").ok());
 }
@@ -505,7 +505,9 @@ TEST_P(ShardSweep, StatsAggregateAcrossShards) {
   cfg.shards = GetParam();
   LocalStore store(cfg);
   for (int i = 0; i < 100; ++i) store.set("k" + std::to_string(i), "v");
-  for (int i = 0; i < 100; ++i) store.get("k" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(store.get("k" + std::to_string(i)).ok());
+  }
   EXPECT_EQ(store.stats().sets, 100u);
   EXPECT_EQ(store.stats().get_hits, 100u);
   EXPECT_EQ(store.stats().curr_items, 100u);
